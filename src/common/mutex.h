@@ -20,9 +20,9 @@
 // order dynamically against a thread-local stack of held ranks, so an
 // inversion aborts at the site instead of deadlocking in production.
 //
-// In release builds without sanitizers all of this compiles away: the
-// wrappers are exactly the std:: operation they wrap, and rank
-// constructor arguments are discarded.
+// In release builds without sanitizers the checks compile away: the
+// wrappers are exactly the std:: operation they wrap. The rank itself is
+// still stored, so the layout is the same in every build.
 
 #ifndef FASTCORESET_COMMON_MUTEX_H_
 #define FASTCORESET_COMMON_MUTEX_H_
@@ -153,9 +153,9 @@ class FC_CAPABILITY("mutex") Mutex {
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-#if FC_MUTEX_RANK_CHECKS
   explicit Mutex(int rank) : rank_(rank) {}
 
+#if FC_MUTEX_RANK_CHECKS
   void Lock() FC_ACQUIRE() {
     rank_check_internal::CheckAcquire(rank_);
     mutex_.lock();
@@ -174,8 +174,6 @@ class FC_CAPABILITY("mutex") Mutex {
     return true;
   }
 #else
-  explicit Mutex(int rank) { static_cast<void>(rank); }
-
   void Lock() FC_ACQUIRE() { mutex_.lock(); }
   void Unlock() FC_RELEASE() { mutex_.unlock(); }
   bool TryLock() FC_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
@@ -184,9 +182,11 @@ class FC_CAPABILITY("mutex") Mutex {
  private:
   friend class CondVar;
   std::mutex mutex_;
-#if FC_MUTEX_RANK_CHECKS
-  const int rank_ = lock_rank::kUnranked;
-#endif
+  /// Stored in every build, read only by the rank checks: the layout of
+  /// Mutex, and of every class holding one, must not depend on NDEBUG,
+  /// or a consumer built with other definitions than the library
+  /// disagrees with it on where each member lives.
+  [[maybe_unused]] const int rank_ = lock_rank::kUnranked;
 };
 
 /// RAII lock over a Mutex (std::lock_guard shape): acquires in the

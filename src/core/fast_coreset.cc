@@ -139,19 +139,4 @@ Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
   return coreset;
 }
 
-Coreset CoresetFromAssignment(const Matrix& points,
-                              const std::vector<double>& weights,
-                              const std::vector<size_t>& assignment,
-                              size_t num_clusters, size_t m, int z,
-                              Rng& rng) {
-  FC_CHECK_EQ(assignment.size(), points.rows());
-  FC_CHECK_GT(num_clusters, 0u);
-  FC_CHECK_GT(m, 0u);
-  const Matrix centers =
-      RefineCenters(points, weights, assignment, num_clusters, z);
-  const ImportanceScores scores =
-      ComputeSensitivities(points, weights, assignment, centers, z);
-  return SampleByImportance(points, weights, scores, m, rng);
-}
-
 }  // namespace fastcoreset

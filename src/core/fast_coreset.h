@@ -75,18 +75,6 @@ Coreset FastCoreset(const Matrix& points, const std::vector<double>& weights,
                     const FastCoresetOptions& options, Rng& rng,
                     FastCoresetStageTimes* stage_times = nullptr);
 
-/// Algorithm 1 steps 3–5 in isolation: given any assignment of the points
-/// into `num_clusters` groups, refine each group's center to its 1-mean
-/// (z = 2) or 1-median (z = 1) in the space of `points`, compute the
-/// eq.-(1) sensitivities and importance-sample m points. Exposed so
-/// alternative seeders and the iterative construction (Section 8.4) can
-/// reuse the sampling tail.
-Coreset CoresetFromAssignment(const Matrix& points,
-                              const std::vector<double>& weights,
-                              const std::vector<size_t>& assignment,
-                              size_t num_clusters, size_t m, int z,
-                              Rng& rng);
-
 }  // namespace fastcoreset
 
 #endif  // FASTCORESET_CORE_FAST_CORESET_H_

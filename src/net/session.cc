@@ -6,15 +6,6 @@
 namespace fastcoreset {
 namespace net {
 
-namespace {
-
-/// Strips the optional '\r' of CRLF framing from line-oriented clients.
-void StripCarriageReturn(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-}
-
-}  // namespace
-
 void Session::IngestBytes(const char* data, size_t size) {
   size_t pos = 0;
   while (pos < size) {
@@ -43,15 +34,8 @@ void Session::IngestBytes(const char* data, size_t size) {
       }
       return;
     }
-    PendingLine pending;
-    pending.line = std::move(partial_);
+    FrameLine(std::move(partial_));
     partial_.clear();
-    StripCarriageReturn(pending.line);
-    if (pending.line.size() > limits_.max_line_bytes) {
-      pending.line.clear();
-      pending.oversized = true;
-    }
-    ready_.push_back(std::move(pending));
     pos = line_end + 1;
   }
 }
@@ -61,18 +45,24 @@ void Session::NoteReadClosed() {
   // A trailing line without a newline before EOF still counts as a
   // request, mirroring the stdio transport's getline loop. (If we were
   // mid-discard, its oversized marker is already queued.)
-  if (!discarding_ && !partial_.empty()) {
-    PendingLine pending;
-    pending.line = std::move(partial_);
-    StripCarriageReturn(pending.line);
-    if (pending.line.size() > limits_.max_line_bytes) {
-      pending.line.clear();
-      pending.oversized = true;
-    }
-    ready_.push_back(std::move(pending));
-  }
+  if (!discarding_) FrameLine(std::move(partial_));
   partial_.clear();
   discarding_ = false;
+}
+
+void Session::FrameLine(std::string line) {
+  // The optional '\r' of CRLF framing is not part of the request, and a
+  // line that is empty without it is no request at all: stdio skips such
+  // lines too, so neither transport answers them.
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  if (line.empty()) return;
+  PendingLine pending;
+  if (line.size() > limits_.max_line_bytes) {
+    pending.oversized = true;
+  } else {
+    pending.line = std::move(line);
+  }
+  ready_.push_back(std::move(pending));
 }
 
 bool Session::WantsRead() const {

@@ -128,6 +128,11 @@ class Session {
     bool oversized = false;
   };
 
+  /// Queues one complete line (terminator removed) for dispatch: strips
+  /// a trailing '\r', drops the line if that leaves it empty, and
+  /// replaces it with an oversized marker past max_line_bytes.
+  void FrameLine(std::string line);
+
   const uint64_t id_;
   const int fd_;
   const SessionLimits limits_;

@@ -14,12 +14,10 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
-#include "src/api/diagnostics.h"
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
-#include "src/service/shard_planner.h"
+#include "src/core/coreset.h"
 
 namespace fastcoreset {
 namespace service {
@@ -28,15 +26,8 @@ namespace service {
 /// and any in-flight responses.
 struct CachedBuild {
   std::string key;
-  uint64_t dataset_fingerprint = 0;
-  size_t shard_count = 1;
+  uint64_t dataset_fingerprint = 0;  ///< For EvictDataset.
   Coreset coreset;
-  /// The diagnostics of the build that populated the entry (what a hit
-  /// saved): per-shard breakdown, merge accounting, wall clock.
-  std::vector<ShardDiagnostics> shards;
-  bool has_merge = false;
-  api::BuildDiagnostics merge;
-  double build_seconds = 0.0;
 };
 
 /// Thread-safe LRU cache with hit/miss/eviction counters. Capacity is an

@@ -52,15 +52,12 @@ struct BuildRequest {
 
 /// What the service did for one request, aggregated across shards. On a
 /// cache hit `shards` is empty and points_processed/build_seconds are 0 —
-/// the proof that no rebuild happened.
+/// the proof that no rebuild happened. The protocol layer renders it as
+/// the build response's JSON fields.
 struct ServiceDiagnostics {
-  std::string dataset;
-  uint64_t dataset_fingerprint = 0;
-  std::string cache_key;     ///< Full composite key the cache used.
   std::string cache_status;  ///< "hit" | "miss" | "bypass".
   size_t shard_count = 1;    ///< Effective (clamped) shard count.
 
-  size_t parallelism_requested = 0;  ///< Budget as asked for (0 = all).
   /// Budget the scheduler actually ran with (request clamped to the
   /// pool); 0 on a cache hit — no graph ran.
   size_t parallelism_effective = 0;
@@ -81,9 +78,6 @@ struct ServiceDiagnostics {
   /// overlapped shard windows plus the merge); 0 on a cache hit.
   double critical_path_seconds = 0.0;
   double total_seconds = 0.0;  ///< Request wall clock (lookup included).
-
-  /// Multi-line key=value report in the BuildDiagnostics style.
-  std::string ToString() const;
 };
 
 /// A request's product.

@@ -1,7 +1,7 @@
 // Dynamic cross-check of the PR 9 lock-rank hierarchy (src/common/mutex.h):
 // ordered acquisition must be silent, an inversion must abort — but only
 // in builds where FC_MUTEX_RANK_CHECKS is compiled in (assert-enabled or
-// sanitizer builds; release builds discard the ranks entirely).
+// sanitizer builds; release builds store the ranks but never check them).
 
 #include <gtest/gtest.h>
 

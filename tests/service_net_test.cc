@@ -62,6 +62,21 @@ TEST(SessionTest, FramesLinesAcrossChunkBoundariesAndCrlf) {
   EXPECT_EQ(last->line, "{\"c\"");
 }
 
+TEST(SessionTest, BlankAndCrlfOnlyLinesAreNoRequests) {
+  // The same bytes over stdio get exactly one response; so must TCP.
+  Session session(1, -1, SessionLimits{});
+  const std::string wire = "\n\r\n{\"verb\":\"stats\"}\n\r";
+  session.IngestBytes(wire.data(), wire.size());
+  session.NoteReadClosed();
+
+  auto only = session.NextRequest();
+  ASSERT_TRUE(only.has_value());
+  EXPECT_EQ(only->sequence, 0u);
+  EXPECT_EQ(only->line, "{\"verb\":\"stats\"}");
+  EXPECT_FALSE(session.NextRequest().has_value())
+      << "a blank line, a lone CRLF and a lone '\\r' at EOF frame nothing";
+}
+
 TEST(SessionTest, ResponsesFlushStrictlyInRequestOrder) {
   Session session(1, -1, SessionLimits{});
   const std::string wire = "one\ntwo\nthree\n";

@@ -667,6 +667,14 @@ TEST(ProtocolTest, EndToEndRegisterBuildHitStatsEvict) {
   const JsonValue second = Handle(build_line);
   EXPECT_EQ(second.Find("cache")->string_value(), "hit");
   EXPECT_EQ(second.Find("points_processed")->number_value(), 0.0);
+  EXPECT_EQ(second.Find("build_seconds")->number_value(), 0.0);
+  // The miss reports its shards and merge; the hit built nothing, so it
+  // carries none of the per-build fields.
+  EXPECT_NE(first.Find("shard_seconds"), nullptr);
+  EXPECT_NE(first.Find("merge_reduce_ops"), nullptr);
+  EXPECT_EQ(second.Find("shard_seconds"), nullptr);
+  EXPECT_EQ(second.Find("shard_windows"), nullptr);
+  EXPECT_EQ(second.Find("merge_reduce_ops"), nullptr);
   EXPECT_EQ(second.Find("coreset_fingerprint")->string_value(),
             first.Find("coreset_fingerprint")->string_value())
       << "cache hit must be bit-identical";

@@ -11,6 +11,8 @@
 //
 // Transports:
 //   default          stdin/stdout, one request per line until EOF.
+//                    Blank (or CRLF-only) lines are skipped on both
+//                    transports.
 //   --listen PORT    loopback TCP daemon (port 0 = ephemeral; the bound
 //                    port is announced on stdout). Serves many clients
 //                    concurrently over a bounded request queue; when the
@@ -175,6 +177,9 @@ int main(int argc, char** argv) {
 
   std::string line;
   while (std::getline(std::cin, line)) {
+    // Same framing as net::Session: drop a CRLF line's '\r', and a line
+    // that is then empty is no request.
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     // One response line per request line; flush so a driving process can
     // read each response before sending the next request.

@@ -11,7 +11,8 @@ Drives the binary over BOTH transports:
   rebuild still matches bit for bit, an invalid request surfaces an
   error response without killing the server, and stats report the
   protocol version plus task-graph scheduler totals that reflect the
-  traffic.
+  traffic. Both transports then get a blank line and a lone CRLF ahead
+  of one request, and must answer only the request.
 
   --listen (loopback TCP daemon) — the same scenario over a socket, then
   four concurrent clients issuing pipelined builds (responses must come
@@ -44,6 +45,10 @@ import time
 REQUEST_TIMEOUT = float(os.environ.get("FC_SMOKE_REQUEST_TIMEOUT", "60"))
 
 FAILURES = []
+
+# A blank line, a lone CRLF, then one request: the same single response
+# on both transports.
+BLANK_LINES_INPUT = b'\n\r\n{"verb":"stats"}\n'
 
 
 def check(condition, message):
@@ -210,6 +215,32 @@ def run_stdio(serve, requests):
     return [json.loads(line) for line in lines]
 
 
+def stdio_blank_lines(serve):
+    """A blank line and a lone CRLF are no requests: of BLANK_LINES_INPUT
+    only the stats line gets a response."""
+    try:
+        done = subprocess.run([serve], input=BLANK_LINES_INPUT,
+                              capture_output=True, timeout=REQUEST_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        check(False, "[stdio] blank-line input: fc_serve did not exit")
+        return
+    check(done.returncode == 0,
+          f"[stdio] blank-line input: fc_serve exited {done.returncode}")
+    check_blank_lines_answer(done.stdout, "stdio")
+
+
+def check_blank_lines_answer(output, transport):
+    lines = output.decode().splitlines()
+    check(len(lines) == 1,
+          f"[{transport}] blank and CRLF-only lines must get no response, "
+          f"expected exactly one response: {lines}")
+    if lines:
+        response = json.loads(lines[0])
+        check(response.get("ok") and response.get("verb") == "stats",
+              f"[{transport}] blank-line input: the one response must be "
+              f"stats: {response}")
+
+
 # ---------------------------------------------------------------------
 # TCP transport
 # ---------------------------------------------------------------------
@@ -278,6 +309,17 @@ def tcp_lockstep(port, requests):
         responses.append(json.loads(line))
     client.close()
     return responses
+
+
+def tcp_blank_lines(port):
+    client = NetClient(port)
+    client.sock.sendall(BLANK_LINES_INPUT)
+    client.sock.shutdown(socket.SHUT_WR)
+    check(client.recv_until_closed(),
+          "[tcp] blank-line input: the connection must close after the "
+          "response")
+    client.close()
+    check_blank_lines_answer(client.buffer, "tcp")
 
 
 def tcp_concurrent_clients(port, clients=4, requests_per_client=3):
@@ -456,6 +498,7 @@ def main():
     if responses is None:
         return 1
     validate_scenario(responses, "stdio")
+    stdio_blank_lines(serve)
 
     # Transport 2: the TCP daemon — same scenario, then concurrency and
     # drain against the same process (the dataset is already registered).
@@ -467,6 +510,7 @@ def main():
         if responses is None:
             return 1
         validate_scenario(responses, "tcp")
+        tcp_blank_lines(port)
         tcp_concurrent_clients(port)
         tcp_sigterm_drain(proc, port)
     finally:
